@@ -33,8 +33,10 @@ use s2e_core::parallel::{
     explore_parallel_live, ParallelConfig, ParallelReport, SchedulerKind, WorkerContext,
 };
 use s2e_core::selectors::make_mem_symbolic;
-use s2e_core::{build_run_report, runreport_twins, ConsistencyModel, Engine, EngineConfig};
-use s2e_obs::{json, Counter, LiveConfig, LiveSummary, LiveTelemetry, MetricsSnapshot};
+use s2e_core::{build_run_report, counter_schema, ConsistencyModel, Engine, EngineConfig};
+use s2e_obs::{
+    json, runreport_twins, Counter, LiveConfig, LiveSummary, LiveTelemetry, MetricsSnapshot,
+};
 use s2e_vm::asm::{Assembler, Program};
 use s2e_vm::isa::reg;
 use s2e_vm::machine::Machine;
@@ -130,12 +132,15 @@ fn run_arm(
         let report = explore_parallel_live(&cfg, None, |ctx| worker_engine(ctx, tree_bytes));
         return (started.elapsed().as_secs_f64(), report, None);
     }
-    let live = LiveTelemetry::start(LiveConfig {
-        workers: WORKERS,
-        sample_interval: SAMPLE_EVERY,
-        jsonl_path: jsonl,
-        serve_addr: (arm == Arm::Endpoint).then(|| "127.0.0.1:0".to_string()),
-    })
+    let live = LiveTelemetry::start(
+        LiveConfig {
+            workers: WORKERS,
+            sample_interval: SAMPLE_EVERY,
+            jsonl_path: jsonl,
+            serve_addr: (arm == Arm::Endpoint).then(|| "127.0.0.1:0".to_string()),
+        },
+        &counter_schema(),
+    )
     .expect("telemetry start");
 
     // The endpoint arm runs under concurrent scrape load: a client
@@ -185,18 +190,11 @@ fn fingerprint(r: &ParallelReport) -> (usize, u64, u64, Vec<u32>) {
 /// snapshot and in the last JSONL line on disk.
 fn assert_snapshot_identity(report: &ParallelReport, snap: &MetricsSnapshot, jsonl: &PathBuf) {
     let run_report = build_run_report(report, None);
-    for (counter, section, key) in runreport_twins() {
-        let want = run_report
-            .section(section)
-            .and_then(|s| s.get(key))
-            .unwrap_or_else(|| panic!("report missing twin {section}.{key}"));
-        let got = snap.counter(counter) as f64;
-        assert_eq!(
-            got,
-            want,
-            "registry {} = {got} but RunReport {section}.{key} = {want}",
-            counter.name()
-        );
+    let twins = runreport_twins(snap, &run_report);
+    // Every counter but the three live-only ones below has a twin.
+    assert_eq!(twins.len(), snap.names.len() - 3, "registry counters lost their report twins");
+    for &(name, got, want) in &twins {
+        assert_eq!(got as f64, want, "registry {name} = {got} but RunReport {name} = {want}");
     }
     // Documented composites (the three live-only counters).
     let dbt_hits = run_report.section("dbt").and_then(|s| s.get("hits")).unwrap();
@@ -218,18 +216,12 @@ fn assert_snapshot_identity(report: &ParallelReport, snap: &MetricsSnapshot, jso
     let line = json::parse(last).expect("final line parses");
     assert_eq!(line.get("final").and_then(|v| v.as_bool()), Some(true));
     let counters = line.get("counters").expect("counters object");
-    for (counter, section, key) in runreport_twins() {
-        let want = run_report.section(section).and_then(|s| s.get(key)).unwrap();
+    for &(name, _, want) in &twins {
         let got = counters
-            .get(counter.name())
+            .get(name)
             .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("final line missing {}", counter.name()));
-        assert_eq!(
-            got,
-            want,
-            "run_live.jsonl final {} = {got} but RunReport {section}.{key} = {want}",
-            counter.name()
-        );
+            .unwrap_or_else(|| panic!("final line missing {name}"));
+        assert_eq!(got, want, "run_live.jsonl final {name} = {got} but RunReport {name} = {want}");
     }
 }
 

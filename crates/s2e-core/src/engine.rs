@@ -18,7 +18,9 @@ use crate::stats::EngineStats;
 use s2e_cache::EpochMap;
 use s2e_dbt::{CacheHandle, IndirectPredictions, SharedBlockCache};
 use s2e_expr::ExprBuilder;
-use s2e_obs::{EventKind, Hist, Phase, Recorder, TelemetryHandle, WorkerTimeline};
+use s2e_obs::{
+    Counter, EventKind, Gauge, Hist, Phase, Recorder, TelemetryHandle, WorkerTimeline,
+};
 use s2e_solver::{SharedQueryCache, Solver};
 use s2e_vm::machine::Machine;
 use std::collections::{HashMap, HashSet};
@@ -342,18 +344,16 @@ impl Engine {
     /// exactly equal the end-of-run `RunReport`.
     pub fn publish_telemetry(&self) {
         let Some(t) = &self.telemetry else { return };
-        crate::telemetry::publish_engine_stats(
-            t,
-            &self.stats,
-            self.seen_blocks.len(),
-            self.states.len(),
-        );
-        crate::telemetry::publish_solver_stats(t, self.solver.stats());
+        t.publish(&self.stats);
+        crate::telemetry::publish_solver(t, self.solver.stats());
         crate::telemetry::publish_dbt_stats(
             t,
             &self.cache.local_stats(),
             &self.cache.shared_stats(),
         );
+        // No stats-struct field behind these two.
+        t.set_counter(Counter::EngineSeenBlocks, self.seen_blocks.len() as u64);
+        t.set_gauge(Gauge::GaugeLiveStates, self.states.len() as u64);
     }
 
     /// The current recorder.

@@ -72,4 +72,4 @@ pub use parallel::{
 pub use plugin::{BugKind, BugReport, ExecCtx, MachineSnapshot, MemAccess, Plugin, PortAccess};
 pub use state::{CompactState, ExecState, StateId, TerminationReason};
 pub use stats::EngineStats;
-pub use telemetry::runreport_twins;
+pub use telemetry::counter_schema;

@@ -3,19 +3,17 @@
 //! One call — [`build_run_report`] — folds everything a parallel run
 //! produced into the `s2e-run-report-v1` schema: merged phase totals and
 //! per-worker timelines from the recorders, plus named metric sections
-//! snapshotting [`EngineStats`], [`SolverStats`] (with its per-kind
-//! breakdown and cache eviction counters), the shared solver cache, the
-//! translation-block cache, the scheduler, and optionally a
-//! [`HierarchyStats`] cache profile. The report renders to JSON via
-//! [`RunReport::render`] and to a Chrome trace via
+//! snapshotting the `counters!` tables — [`crate::EngineStats`],
+//! `SolverStats` (with one `KindStats` slice per query kind), the shared
+//! solver cache, the translation-block cache — then the scheduler, and
+//! optionally a [`HierarchyStats`] cache profile. The report renders to
+//! JSON via [`RunReport::render`] and to a Chrome trace via
 //! [`s2e_obs::chrome_trace`].
 
 use crate::parallel::ParallelReport;
-use crate::stats::EngineStats;
 use s2e_cache::HierarchyStats;
-use s2e_dbt::DbtStats;
-use s2e_obs::{MetricSection, RunReport};
-use s2e_solver::{QueryKind, SharedCacheStats, SolverStats};
+use s2e_obs::{Counters, MetricSection, RunReport};
+use s2e_solver::{KindStats, QueryKind};
 
 /// Builds the unified run report for a completed parallel exploration.
 /// `hierarchy` attaches a merged cache profile when a
@@ -25,102 +23,19 @@ pub fn build_run_report(report: &ParallelReport, hierarchy: Option<&HierarchySta
     for w in &report.workers {
         out.add_worker(w.timeline.clone());
     }
-    out.add_section(engine_section(&report.stats));
-    out.add_section(solver_section(&report.solver));
-    out.add_section(solver_by_kind_section(&report.solver));
-    out.add_section(shared_cache_section(&report.shared_cache));
-    out.add_section(dbt_section(&report.dbt));
+    out.add_section(MetricSection::of(&report.stats));
+    out.add_section(MetricSection::of(&report.solver));
+    let by_kind = MetricSection::new(KindStats::SECTION);
+    out.add_section(QueryKind::ALL.iter().fold(by_kind, |section, &kind| {
+        section.table(report.solver.kind(kind), kind.name())
+    }));
+    out.add_section(MetricSection::of(&report.shared_cache));
+    out.add_section(MetricSection::of(&report.dbt));
     out.add_section(parallel_section(report));
     if let Some(h) = hierarchy {
         out.add_section(hierarchy_section(h));
     }
     out
-}
-
-fn engine_section(s: &EngineStats) -> MetricSection {
-    MetricSection::new("engine")
-        .counter("states_created", s.states_created as f64)
-        .counter("states_terminated", s.states_terminated as f64)
-        .counter("forks", s.forks as f64)
-        .counter("blocks_executed", s.blocks_executed as f64)
-        .counter("instrs_concrete", s.instrs_concrete as f64)
-        .counter("instrs_symbolic", s.instrs_symbolic as f64)
-        .counter("concrete_only_blocks", s.concrete_only_blocks as f64)
-        .counter("lean_instrs", s.lean_instrs as f64)
-        .counter("dead_writes_skipped", s.dead_writes_skipped as f64)
-        .counter("feasibility_probes_skipped", s.feasibility_probes_skipped as f64)
-        .counter("symbolic_ptr_accesses", s.symbolic_ptr_accesses as f64)
-        .counter("concretizations", s.concretizations as f64)
-        .counter("interrupts_delivered", s.interrupts_delivered as f64)
-        .counter("syscalls", s.syscalls as f64)
-        .counter("indirect_retirements", s.indirect_retirements as f64)
-        .counter("indirect_targets_resolved", s.indirect_targets_resolved as f64)
-        .counter("indirect_targets_escaped", s.indirect_targets_escaped as f64)
-        .counter("indirect_targets_discovered", s.indirect_targets_discovered as f64)
-        .counter("evictions", s.evictions as f64)
-        .counter("rehydrations", s.rehydrations as f64)
-        .counter("replayed_instrs", s.replayed_instrs as f64)
-        .counter("journal_bytes", s.journal_bytes as f64)
-        .counter("max_live_states", s.max_live_states as f64)
-        .counter("memory_watermark_bytes", s.memory_watermark_bytes as f64)
-        .counter("cpu_time_ns", s.cpu_time.as_nanos() as f64)
-}
-
-fn solver_section(s: &SolverStats) -> MetricSection {
-    MetricSection::new("solver")
-        .counter("queries", s.queries as f64)
-        .counter("sat", s.sat as f64)
-        .counter("unsat", s.unsat as f64)
-        .counter("unknown", s.unknown as f64)
-        .counter("cache_hits", s.cache_hits as f64)
-        .counter("shared_hits", s.shared_hits as f64)
-        .counter("pool_hits", s.pool_hits as f64)
-        .counter("subsumption_hits", s.subsumption_hits as f64)
-        .counter("core_solves", s.core_solves as f64)
-        .counter("sliced_queries", s.sliced_queries as f64)
-        .counter("components_solved", s.components_solved as f64)
-        .counter("cache_evictions", s.cache_evictions as f64)
-        .counter("cache_entries", s.cache_entries as f64)
-        .counter("total_time_ns", s.total_time.as_nanos() as f64)
-        .counter("max_query_time_ns", s.max_query_time.as_nanos() as f64)
-}
-
-fn solver_by_kind_section(s: &SolverStats) -> MetricSection {
-    let mut section = MetricSection::new("solver_by_kind");
-    for kind in QueryKind::ALL {
-        let k = &s.by_kind[kind.index()];
-        let name = kind.name();
-        section = section
-            .counter(&format!("{name}.queries"), k.queries as f64)
-            .counter(&format!("{name}.sat"), k.sat as f64)
-            .counter(&format!("{name}.unsat"), k.unsat as f64)
-            .counter(&format!("{name}.unknown"), k.unknown as f64)
-            .counter(&format!("{name}.time_ns"), k.time.as_nanos() as f64);
-    }
-    section
-}
-
-fn shared_cache_section(s: &SharedCacheStats) -> MetricSection {
-    MetricSection::new("shared_cache")
-        .counter("hits", s.hits as f64)
-        .counter("subsumption_hits", s.subsumption_hits as f64)
-        .counter("inserts", s.inserts as f64)
-        .counter("entries", s.entries as f64)
-        .counter("evictions", s.evictions as f64)
-}
-
-fn dbt_section(s: &DbtStats) -> MetricSection {
-    MetricSection::new("dbt")
-        .counter("translations", s.translations as f64)
-        .counter("hits", s.hits as f64)
-        .counter("instrs_translated", s.instrs_translated as f64)
-        .counter("invalidations", s.invalidations as f64)
-        .counter("chains_formed", s.chains_formed as f64)
-        .counter("chain_entries", s.chain_entries as f64)
-        .counter("chain_exits", s.chain_exits as f64)
-        .counter("unlinks", s.unlinks as f64)
-        .counter("l1_hits", s.l1_hits as f64)
-        .counter("translation_time_ns", s.translation_time.as_nanos() as f64)
 }
 
 fn parallel_section(r: &ParallelReport) -> MetricSection {
@@ -158,12 +73,15 @@ fn hierarchy_section(h: &HierarchyStats) -> MetricSection {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::stats::EngineStats;
+    use s2e_dbt::DbtStats;
+    use s2e_solver::{SharedCacheStats, SolverStats};
     use std::collections::HashSet;
     use std::time::Duration;
 
-    fn empty_report() -> ParallelReport {
+    pub(crate) fn empty_report() -> ParallelReport {
         ParallelReport {
             workers: Vec::new(),
             stats: EngineStats::default(),

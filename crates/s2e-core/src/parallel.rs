@@ -83,13 +83,12 @@ use crate::state::{CompactState, ExecState, StateId};
 use crate::stats::EngineStats;
 use s2e_dbt::DbtStats;
 use s2e_expr::{ExprBuilder, ExprRef, Width};
-use crate::telemetry::publish_shared_cache_stats;
 use s2e_obs::{
     Counter, EventKind, Gauge, Hist, LiveTelemetry, ObsConfig, Phase, Recorder, TelemetryHandle,
     WorkerTimeline,
 };
 use s2e_prng::SplitMix64;
-use s2e_solver::{SharedCacheStats, SolverStats};
+use s2e_solver::{SharedCacheStats, SharedQueryCache, SolverStats};
 use s2e_vm::machine::Machine;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -601,6 +600,15 @@ fn publish_loop_counters(t: &TelemetryHandle, steals: u64, reclaims: u64, export
     t.set_counter(Counter::ParallelExports, exports);
 }
 
+/// Publishes this worker's read of the cross-worker query cache (takes
+/// its lock): the `SharedCacheStats` rows as max-merged mirrors, plus the
+/// non-monotonic entry count as the stamped `Latest` gauge.
+fn publish_query_cache(t: &TelemetryHandle, cache: &SharedQueryCache) {
+    let stats = cache.stats();
+    t.publish(&stats);
+    t.set_gauge(Gauge::GaugeSharedCacheEntries, stats.entries as u64);
+}
+
 /// Converts detached surplus states to queue form, evicting to compact
 /// per the configured policy. Under `Cap`, a state ships compact when
 /// the bytes already queued plus its own would break the cap — an
@@ -711,7 +719,7 @@ where
                 // The shared query cache snapshot takes its lock; ride
                 // the existing recorder throttle cadence.
                 if batches % SNAPSHOT_EVERY_BATCHES == 0 {
-                    publish_shared_cache_stats(t, &shared.query_cache.stats());
+                    publish_query_cache(t, &shared.query_cache);
                 }
             }
 
@@ -802,7 +810,7 @@ where
         // value so the merged registry matches the RunReport exactly.
         engine.publish_telemetry();
         publish_loop_counters(t, steals, 0, exports);
-        publish_shared_cache_stats(t, &shared.query_cache.stats());
+        publish_query_cache(t, &shared.query_cache);
         t.set_gauge(Gauge::GaugeQueueBytes, sched.bytes.current() as u64);
     }
     finish_worker_report(w, engine, steals, 0, exports)
@@ -886,7 +894,7 @@ where
                     sched.idle_pressure.load(Ordering::Relaxed) as u64,
                 );
                 if batches % SNAPSHOT_EVERY_BATCHES == 0 {
-                    publish_shared_cache_stats(t, &shared.query_cache.stats());
+                    publish_query_cache(t, &shared.query_cache);
                 }
             }
 
@@ -1039,7 +1047,7 @@ where
         // value so the merged registry matches the RunReport exactly.
         engine.publish_telemetry();
         publish_loop_counters(t, steals, reclaims, exports);
-        publish_shared_cache_stats(t, &shared.query_cache.stats());
+        publish_query_cache(t, &shared.query_cache);
         t.set_gauge(Gauge::GaugeQueueDepth, sched.pending.load(Ordering::Relaxed));
         t.set_gauge(Gauge::GaugeQueueBytes, sched.bytes.current() as u64);
     }

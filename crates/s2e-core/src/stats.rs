@@ -6,110 +6,84 @@
 
 use std::time::Duration;
 
-/// Counters accumulated by the engine across all states.
-#[derive(Clone, Debug, Default)]
-pub struct EngineStats {
-    /// States created (initial + forked).
-    pub states_created: u64,
-    /// States terminated.
-    pub states_terminated: u64,
-    /// Fork events.
-    pub forks: u64,
-    /// Translation blocks executed.
-    pub blocks_executed: u64,
-    /// Instructions executed on the concrete fast path.
-    pub instrs_concrete: u64,
-    /// Instructions that touched symbolic data (dispatched to the
-    /// embedded symbolic executor).
-    pub instrs_symbolic: u64,
-    /// Translation blocks executed on the lean dispatch path (statically
-    /// proven concrete-only by the `s2e-analysis` pre-pass).
-    pub concrete_only_blocks: u64,
-    /// Instructions whose per-operand symbolic check was statically
-    /// discharged (subset of `instrs_concrete`).
-    pub lean_instrs: u64,
-    /// Symbolic ALU results never materialized because the destination
-    /// register was statically dead.
-    pub dead_writes_skipped: u64,
-    /// Branch feasibility probes skipped because the block is statically
-    /// fork-free (two per skipped branch resolution).
-    pub feasibility_probes_skipped: u64,
-    /// Memory accesses with a symbolic address (solver-backed page
-    /// handling).
-    pub symbolic_ptr_accesses: u64,
-    /// Concretization events (symbolic→concrete conversions).
-    pub concretizations: u64,
-    /// Interrupts delivered.
-    pub interrupts_delivered: u64,
-    /// Syscall traps.
-    pub syscalls: u64,
-    /// Indirect control transfers retired through `exec_indirect`
-    /// (`jmpr`/`callr`/`ret`) while a prediction table was installed.
-    pub indirect_retirements: u64,
-    /// Retired indirect targets the static analysis predicted.
-    pub indirect_targets_resolved: u64,
-    /// Retired indirect targets at sites known to escape the analyzed
-    /// region (unmatched `ret`s leaving the unit).
-    pub indirect_targets_escaped: u64,
-    /// Retired indirect targets the static CFG did not predict — each
-    /// one is fed back through incremental re-analysis.
-    pub indirect_targets_discovered: u64,
-    /// Live states evicted to compact `{checkpoint, journal}` form (§13).
-    pub evictions: u64,
-    /// Compact states rehydrated by deterministic replay.
-    pub rehydrations: u64,
-    /// Instructions re-executed during rehydration replay (not new
-    /// exploration work; excluded from the instruction-mix counters).
-    pub replayed_instrs: u64,
-    /// Total encoded journal bytes shipped into compact states.
-    pub journal_bytes: u64,
-    /// Maximum number of simultaneously live states.
-    pub max_live_states: usize,
-    /// High-watermark of estimated private state memory across live
-    /// states, in bytes (Fig. 8's metric).
-    pub memory_watermark_bytes: usize,
-    /// CPU time spent in [`crate::engine::Engine::step`], summed across
-    /// engines when merged. On a parallel run this exceeds wall-clock
-    /// time (workers run concurrently); wall-clock is reported
-    /// separately by `ParallelReport::wall_time`.
-    pub cpu_time: Duration,
+s2e_obs::counters! {
+    /// Counters accumulated by the engine across all states. Merging
+    /// parallel workers' stats sums the additive rows and takes the
+    /// maximum of the watermarks: `max_live_states` and
+    /// `memory_watermark_bytes` are per-engine peaks, so the merged
+    /// value is the largest any single worker saw. The live
+    /// `engine.seen_blocks` counter and `live_states` gauge have no row
+    /// here; `Engine::publish_telemetry` writes them by hand.
+    #[derive(Clone, Debug, Default)]
+    pub struct EngineStats in "engine" {
+        /// States created (initial + forked).
+        states_created: u64 = Sum,
+        /// States terminated.
+        states_terminated: u64 = Sum,
+        /// Fork events.
+        forks: u64 = Sum,
+        /// Translation blocks executed.
+        blocks_executed: u64 = Sum,
+        /// Instructions executed on the concrete fast path.
+        instrs_concrete: u64 = Sum,
+        /// Instructions that touched symbolic data (dispatched to the
+        /// embedded symbolic executor).
+        instrs_symbolic: u64 = Sum,
+        /// Translation blocks executed on the lean dispatch path (statically
+        /// proven concrete-only by the `s2e-analysis` pre-pass).
+        concrete_only_blocks: u64 = Sum,
+        /// Instructions whose per-operand symbolic check was statically
+        /// discharged (subset of `instrs_concrete`).
+        lean_instrs: u64 = Sum,
+        /// Symbolic ALU results never materialized because the destination
+        /// register was statically dead.
+        dead_writes_skipped: u64 = Sum,
+        /// Branch feasibility probes skipped because the block is statically
+        /// fork-free (two per skipped branch resolution).
+        feasibility_probes_skipped: u64 = Sum,
+        /// Memory accesses with a symbolic address (solver-backed page
+        /// handling).
+        symbolic_ptr_accesses: u64 = Sum,
+        /// Concretization events (symbolic→concrete conversions).
+        concretizations: u64 = Sum,
+        /// Interrupts delivered.
+        interrupts_delivered: u64 = Sum,
+        /// Syscall traps.
+        syscalls: u64 = Sum,
+        /// Indirect control transfers retired through `exec_indirect`
+        /// (`jmpr`/`callr`/`ret`) while a prediction table was installed.
+        indirect_retirements: u64 = Sum,
+        /// Retired indirect targets the static analysis predicted.
+        indirect_targets_resolved: u64 = Sum,
+        /// Retired indirect targets at sites known to escape the analyzed
+        /// region (unmatched `ret`s leaving the unit).
+        indirect_targets_escaped: u64 = Sum,
+        /// Retired indirect targets the static CFG did not predict — each
+        /// one is fed back through incremental re-analysis.
+        indirect_targets_discovered: u64 = Sum,
+        /// Live states evicted to compact `{checkpoint, journal}` form (§13).
+        evictions: u64 = Sum,
+        /// Compact states rehydrated by deterministic replay.
+        rehydrations: u64 = Sum,
+        /// Instructions re-executed during rehydration replay (not new
+        /// exploration work; excluded from the instruction-mix counters).
+        replayed_instrs: u64 = Sum,
+        /// Total encoded journal bytes shipped into compact states.
+        journal_bytes: u64 = Sum,
+        /// Maximum number of simultaneously live states.
+        max_live_states: usize = Max,
+        /// High-watermark of estimated private state memory across live
+        /// states, in bytes (Fig. 8's metric).
+        memory_watermark_bytes: usize = Max,
+        /// CPU time spent in [`crate::engine::Engine::step`], summed across
+        /// engines when merged. On a parallel run this exceeds wall-clock
+        /// time (workers run concurrently); wall-clock is reported
+        /// separately by `ParallelReport::wall_time`.
+        cpu_time: Duration = Sum,
+    }
 }
 
 impl EngineStats {
-    /// Folds another engine's counters into this one (parallel workers'
-    /// stats merged into one report). Sums the additive counters and
-    /// takes the maximum of the watermark-style ones — `max_live_states`
-    /// and `memory_watermark_bytes` are per-engine peaks, so the merged
-    /// value is the largest any single worker saw, not a sum.
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.states_created += other.states_created;
-        self.states_terminated += other.states_terminated;
-        self.forks += other.forks;
-        self.blocks_executed += other.blocks_executed;
-        self.instrs_concrete += other.instrs_concrete;
-        self.instrs_symbolic += other.instrs_symbolic;
-        self.concrete_only_blocks += other.concrete_only_blocks;
-        self.lean_instrs += other.lean_instrs;
-        self.dead_writes_skipped += other.dead_writes_skipped;
-        self.feasibility_probes_skipped += other.feasibility_probes_skipped;
-        self.symbolic_ptr_accesses += other.symbolic_ptr_accesses;
-        self.concretizations += other.concretizations;
-        self.interrupts_delivered += other.interrupts_delivered;
-        self.syscalls += other.syscalls;
-        self.indirect_retirements += other.indirect_retirements;
-        self.indirect_targets_resolved += other.indirect_targets_resolved;
-        self.indirect_targets_escaped += other.indirect_targets_escaped;
-        self.indirect_targets_discovered += other.indirect_targets_discovered;
-        self.evictions += other.evictions;
-        self.rehydrations += other.rehydrations;
-        self.replayed_instrs += other.replayed_instrs;
-        self.journal_bytes += other.journal_bytes;
-        self.max_live_states = self.max_live_states.max(other.max_live_states);
-        self.memory_watermark_bytes =
-            self.memory_watermark_bytes.max(other.memory_watermark_bytes);
-        self.cpu_time += other.cpu_time;
-    }
-
     /// Total instructions executed.
     pub fn total_instrs(&self) -> u64 {
         self.instrs_concrete + self.instrs_symbolic

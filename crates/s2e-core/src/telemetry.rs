@@ -1,172 +1,120 @@
 //! Publishing engine state into the live metrics registry
 //! (DESIGN.md §16).
 //!
-//! The engine's hot path keeps its existing *plain* stat structs
-//! ([`EngineStats`], `SolverStats`, `DbtStats`) — zero atomics per
-//! block. At batch boundaries (and once more at worker exit) the
-//! worker *publishes* the current cumulative values into its private
-//! [`TelemetryHandle`] shard with relaxed stores; the sampler and the
-//! scrape endpoint merge shards on read. Latency histograms are the
-//! exception: rare events (solver queries, translations, steals,
-//! parks, replays) record per-sample, one atomic add each.
+//! The engine's hot path keeps its *plain* stat structs — zero atomics
+//! per block. At batch boundaries (and once more at worker exit) the
+//! worker *publishes* their cumulative values into its private
+//! [`TelemetryHandle`] shard with relaxed stores; readers merge shards.
+//! Each struct is a `counters!` table, so [`counter_schema`] and
+//! `TelemetryHandle::publish` take the live counters from the rows that
+//! also build the `RunReport` sections. A `Sum` row is a per-worker
+//! value; a `Max` row mirrors a monotonic global (the shared TB cache,
+//! the cross-worker query cache), whose last worker's final flush pins
+//! the exact end-of-run value.
 //!
-//! Publish rules, per source:
-//!
-//! * **Per-worker stats** (`EngineStats`, worker `SolverStats`,
-//!   L1-local `DbtStats`, loop steal/reclaim/export counters) go to the
-//!   worker's shard as `Sum`-merged counters — summed last-published
-//!   values, exact after every worker's final flush.
-//! * **Global mirrors** (the shared TB cache, the cross-worker query
-//!   cache) are monotonic, so every worker publishes its latest *read*
-//!   of the global value and the merge takes the max: the most recent
-//!   read wins, and the final flush of the last-finishing worker pins
-//!   the exact end-of-run value. The non-monotonic shared-cache entry
-//!   count rides the stamped `Latest` gauge instead.
-//!
-//! [`RUNREPORT_TWINS`] is the explicit contract between the registry
-//! namespace and the end-of-run `RunReport` sections; the
-//! `telemetry_overhead` bench gate asserts value equality over it.
+//! What no row can say is published by hand: `engine.seen_blocks` and
+//! the `live_states` gauge (no struct field), the `dbt.local_hits`/
+//! `dbt.shared_hits` split of `DbtStats::hits` (two sources), the
+//! stamped `shared_cache.entries` gauge (not monotonic), and the
+//! `parallel.*` loop counters.
 
 use crate::stats::EngineStats;
 use s2e_dbt::DbtStats;
-use s2e_obs::{Counter, Gauge, TelemetryHandle};
-use s2e_solver::{QueryKind, SharedCacheStats, SolverStats};
+use s2e_obs::{Counter, CounterSchema, TelemetryHandle};
+use s2e_solver::{KindStats, QueryKind, SharedCacheStats, SolverStats};
 
-/// Every `(counter, section, key)` pair whose merged registry value
-/// must exactly equal `RunReport.section(section).get(key)` after the
-/// final flush. Derived mechanically from [`Counter::runreport_twin`]
-/// so a counter added to the registry can't silently skip the
-/// equality gate.
-pub fn runreport_twins() -> Vec<(Counter, &'static str, &'static str)> {
-    Counter::ALL
+/// The table-backed counters of every engine-side registry: one block
+/// per stats table, and one `KindStats` block per query kind.
+pub fn counter_schema() -> CounterSchema {
+    let schema = CounterSchema::default().table::<EngineStats>().table::<SolverStats>();
+    QueryKind::ALL
         .iter()
-        .filter_map(|&c| c.runreport_twin().map(|(section, key)| (c, section, key)))
-        .collect()
+        .fold(schema, |schema, kind| schema.table_prefixed::<KindStats>(kind.name()))
+        .table::<DbtStats>()
+        .table::<SharedCacheStats>()
 }
 
-/// Publishes cumulative [`EngineStats`] counters plus instantaneous
-/// coverage/liveness into the worker's shard.
-pub fn publish_engine_stats(
-    t: &TelemetryHandle,
-    s: &EngineStats,
-    seen_blocks: usize,
-    live_states: usize,
-) {
-    t.set_counter(Counter::EngineStatesCreated, s.states_created);
-    t.set_counter(Counter::EngineStatesTerminated, s.states_terminated);
-    t.set_counter(Counter::EngineForks, s.forks);
-    t.set_counter(Counter::EngineBlocksExecuted, s.blocks_executed);
-    t.set_counter(Counter::EngineInstrsConcrete, s.instrs_concrete);
-    t.set_counter(Counter::EngineInstrsSymbolic, s.instrs_symbolic);
-    t.set_counter(Counter::EngineConcreteOnlyBlocks, s.concrete_only_blocks);
-    t.set_counter(Counter::EngineLeanInstrs, s.lean_instrs);
-    t.set_counter(Counter::EngineDeadWritesSkipped, s.dead_writes_skipped);
-    t.set_counter(Counter::EngineFeasibilityProbesSkipped, s.feasibility_probes_skipped);
-    t.set_counter(Counter::EngineSymbolicPtrAccesses, s.symbolic_ptr_accesses);
-    t.set_counter(Counter::EngineConcretizations, s.concretizations);
-    t.set_counter(Counter::EngineInterruptsDelivered, s.interrupts_delivered);
-    t.set_counter(Counter::EngineSyscalls, s.syscalls);
-    t.set_counter(Counter::EngineIndirectRetirements, s.indirect_retirements);
-    t.set_counter(Counter::EngineIndirectTargetsResolved, s.indirect_targets_resolved);
-    t.set_counter(Counter::EngineIndirectTargetsEscaped, s.indirect_targets_escaped);
-    t.set_counter(Counter::EngineIndirectTargetsDiscovered, s.indirect_targets_discovered);
-    t.set_counter(Counter::EngineEvictions, s.evictions);
-    t.set_counter(Counter::EngineRehydrations, s.rehydrations);
-    t.set_counter(Counter::EngineReplayedInstrs, s.replayed_instrs);
-    t.set_counter(Counter::EngineJournalBytes, s.journal_bytes);
-    t.set_counter(Counter::EngineCpuTimeNs, s.cpu_time.as_nanos() as u64);
-    t.set_counter(Counter::EngineMaxLiveStates, s.max_live_states as u64);
-    t.set_counter(Counter::EngineMemoryWatermarkBytes, s.memory_watermark_bytes as u64);
-    t.set_counter(Counter::EngineSeenBlocks, seen_blocks as u64);
-    t.set_gauge(Gauge::GaugeLiveStates, live_states as u64);
+/// Publishes the solver table and its per-kind slices.
+pub(crate) fn publish_solver(t: &TelemetryHandle, s: &SolverStats) {
+    t.publish(s);
+    for kind in QueryKind::ALL {
+        t.publish_prefixed(s.kind(kind), kind.name());
+    }
 }
 
-/// Publishes cumulative worker-local [`SolverStats`] counters,
-/// including the per-kind breakdown (the live Fig 9 numerators).
-pub fn publish_solver_stats(t: &TelemetryHandle, s: &SolverStats) {
-    t.set_counter(Counter::SolverQueries, s.queries);
-    t.set_counter(Counter::SolverSat, s.sat);
-    t.set_counter(Counter::SolverUnsat, s.unsat);
-    t.set_counter(Counter::SolverUnknown, s.unknown);
-    t.set_counter(Counter::SolverCacheHits, s.cache_hits);
-    t.set_counter(Counter::SolverSharedHits, s.shared_hits);
-    t.set_counter(Counter::SolverPoolHits, s.pool_hits);
-    t.set_counter(Counter::SolverSubsumptionHits, s.subsumption_hits);
-    t.set_counter(Counter::SolverCoreSolves, s.core_solves);
-    t.set_counter(Counter::SolverSlicedQueries, s.sliced_queries);
-    t.set_counter(Counter::SolverComponentsSolved, s.components_solved);
-    t.set_counter(Counter::SolverCacheEvictions, s.cache_evictions);
-    t.set_counter(Counter::SolverCacheEntries, s.cache_entries);
-    t.set_counter(Counter::SolverTotalTimeNs, s.total_time.as_nanos() as u64);
-    t.set_counter(Counter::SolverMaxQueryTimeNs, s.max_query_time.as_nanos() as u64);
-    let by_kind = |k: QueryKind| &s.by_kind[k.index()];
-    let f = by_kind(QueryKind::Feasibility);
-    t.set_counter(Counter::SolverFeasibilityQueries, f.queries);
-    t.set_counter(Counter::SolverFeasibilityTimeNs, f.time.as_nanos() as u64);
-    let c = by_kind(QueryKind::Concretize);
-    t.set_counter(Counter::SolverConcretizeQueries, c.queries);
-    t.set_counter(Counter::SolverConcretizeTimeNs, c.time.as_nanos() as u64);
-    let o = by_kind(QueryKind::Other);
-    t.set_counter(Counter::SolverOtherQueries, o.queries);
-    t.set_counter(Counter::SolverOtherTimeNs, o.time.as_nanos() as u64);
-}
-
-/// Publishes the translator counters: this worker's L1-local stats
-/// (`Sum`-merged) and its latest read of the shared cache's global
-/// counters (`Max`-merged mirrors).
-pub fn publish_dbt_stats(t: &TelemetryHandle, local: &DbtStats, shared: &DbtStats) {
-    t.set_counter(Counter::DbtL1Hits, local.l1_hits);
+/// Publishes the translator counters from this worker's L1-local stats
+/// and its latest read of the backing cache's global ones. Their merge
+/// is what the `DbtStats` rows describe (`Sum` rows carry the L1
+/// counters, `Max` rows the cache's); the hit count, kept on both
+/// sides, is published as its two components.
+pub(crate) fn publish_dbt_stats(t: &TelemetryHandle, local: &DbtStats, shared: &DbtStats) {
+    let mut merged = *shared;
+    merged.merge(local);
+    t.publish(&merged);
     t.set_counter(Counter::DbtLocalHits, local.hits);
-    t.set_counter(Counter::DbtChainEntries, local.chain_entries);
-    t.set_counter(Counter::DbtChainExits, local.chain_exits);
-    t.set_counter(Counter::DbtTranslations, shared.translations);
     t.set_counter(Counter::DbtSharedHits, shared.hits);
-    t.set_counter(Counter::DbtInstrsTranslated, shared.instrs_translated);
-    t.set_counter(Counter::DbtInvalidations, shared.invalidations);
-    t.set_counter(Counter::DbtChainsFormed, shared.chains_formed);
-    t.set_counter(Counter::DbtUnlinks, shared.unlinks);
-    t.set_counter(Counter::DbtTranslationTimeNs, shared.translation_time.as_nanos() as u64);
-}
-
-/// Publishes the worker's latest read of the cross-worker query cache
-/// (monotonic fields as `Max` mirrors, the entry count as a stamped
-/// `Latest` gauge).
-pub fn publish_shared_cache_stats(t: &TelemetryHandle, s: &SharedCacheStats) {
-    t.set_counter(Counter::SharedCacheHits, s.hits);
-    t.set_counter(Counter::SharedCacheSubsumptionHits, s.subsumption_hits);
-    t.set_counter(Counter::SharedCacheInserts, s.inserts);
-    t.set_counter(Counter::SharedCacheEvictions, s.evictions);
-    t.set_gauge(Gauge::GaugeSharedCacheEntries, s.entries as u64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2e_obs::MetricsRegistry;
+    use crate::observe::build_run_report;
+    use crate::observe::tests::empty_report;
+    use s2e_obs::{runreport_twins, snapshot_line, MetricsRegistry};
+    use std::collections::BTreeSet;
     use std::time::Duration;
 
     #[test]
-    fn twins_cover_the_registry() {
-        let twins = runreport_twins();
-        // Every counter is either a twin or one of the three documented
-        // live-only exceptions.
-        assert_eq!(twins.len(), Counter::ALL.len() - 3);
+    fn live_counters_without_a_report_twin_are_the_documented_ones() {
+        let snap = MetricsRegistry::new(1, &counter_schema()).snapshot();
+        let report = build_run_report(&empty_report(), None);
+        let twins: BTreeSet<&str> =
+            runreport_twins(&snap, &report).into_iter().map(|(name, _, _)| name).collect();
+        let live_only: BTreeSet<&str> =
+            snap.named_counters().map(|(name, _)| name).filter(|n| !twins.contains(n)).collect();
+        assert_eq!(
+            live_only,
+            BTreeSet::from(["engine.seen_blocks", "dbt.local_hits", "dbt.shared_hits"])
+        );
+        // The other way round: every table-built report key is live,
+        // except the two rows published by hand.
+        let table_sections = ["engine", "solver", "solver_by_kind", "dbt", "shared_cache"];
+        let report_only: BTreeSet<String> = report
+            .sections
+            .iter()
+            .filter(|s| table_sections.contains(&s.name.as_str()))
+            .flat_map(|s| s.counters.iter().map(move |(key, _)| format!("{}.{key}", s.name)))
+            .filter(|name| !twins.contains(name.as_str()))
+            .collect();
+        let hand_published = ["dbt.hits".to_string(), "shared_cache.entries".to_string()];
+        assert_eq!(report_only, BTreeSet::from(hand_published));
     }
 
     #[test]
-    fn engine_publish_is_cumulative_stores() {
-        let reg = MetricsRegistry::new(1);
+    fn publish_is_cumulative_stores() {
+        let reg = MetricsRegistry::new(1, &counter_schema());
         let t = reg.handle(0);
-        let mut s = EngineStats::default();
-        s.forks = 9;
-        s.cpu_time = Duration::from_micros(3);
-        publish_engine_stats(&t, &s, 17, 2);
+        let cpu_time = Duration::from_micros(3);
+        let mut s = EngineStats { forks: 9, cpu_time, ..EngineStats::default() };
+        t.publish(&s);
         s.forks = 12;
-        publish_engine_stats(&t, &s, 20, 1);
+        t.publish(&s);
+        let mut solver = SolverStats::default();
+        solver.by_kind[QueryKind::Concretize.index()].unsat = 4;
+        publish_solver(&t, &solver);
+        let shared = DbtStats { hits: 5, translations: 2, ..DbtStats::default() };
+        let local = DbtStats { hits: 3, l1_hits: 3, ..DbtStats::default() };
+        publish_dbt_stats(&t, &local, &shared);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter(Counter::EngineForks), 12);
-        assert_eq!(snap.counter(Counter::EngineCpuTimeNs), 3_000);
-        assert_eq!(snap.counter(Counter::EngineSeenBlocks), 20);
-        assert_eq!(snap.gauge(Gauge::GaugeLiveStates), 1);
+        assert_eq!(snap.counter_named("engine.forks"), Some(12));
+        let line = snapshot_line(0, 1_000, 1, &snap, None, true);
+        let forks_per_s = line.get("derived").and_then(|d| d.get("forks_per_s"));
+        assert_eq!(forks_per_s.and_then(|v| v.as_f64()), Some(12e6), "12 forks in 1 µs");
+        assert_eq!(snap.counter_named("engine.cpu_time_ns"), Some(3_000));
+        assert_eq!(snap.counter_named("solver_by_kind.concretize.unsat"), Some(4));
+        assert_eq!(snap.counter_named("dbt.translations"), Some(2));
+        assert_eq!(snap.counter_named("dbt.l1_hits"), Some(3));
+        assert_eq!(snap.counter(Counter::DbtLocalHits), 3);
+        assert_eq!(snap.counter(Counter::DbtSharedHits), 5);
     }
 }

@@ -192,51 +192,42 @@ impl TranslationBlock {
     }
 }
 
-/// Counters for the translator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DbtStats {
-    /// Blocks translated (cache misses).
-    pub translations: u64,
-    /// Cache hits (L1 hits plus shared/private map hits — every lookup
-    /// that avoided a retranslation).
-    pub hits: u64,
-    /// Instructions decoded in total.
-    pub instrs_translated: u64,
-    /// Blocks discarded by invalidation (self-modifying code).
-    pub invalidations: u64,
-    /// Superblock links recorded along observed direct edges.
-    pub chains_formed: u64,
-    /// Block→block hops taken inside a chained run (no scheduler
-    /// round-trip between the two blocks).
-    pub chain_entries: u64,
-    /// Chained runs that executed more than one block before returning
-    /// to the scheduler.
-    pub chain_exits: u64,
-    /// Chain links severed by invalidation (inbound + outbound edges of
-    /// every discarded block).
-    pub unlinks: u64,
-    /// Lookups answered by a per-worker L1 front cache without touching
-    /// the shared cache (subset of `hits`).
-    pub l1_hits: u64,
-    /// Wall-clock time spent decoding and annotating blocks (cache
-    /// misses only; hits cost a map lookup, not measured).
-    pub translation_time: Duration,
-}
-
-impl DbtStats {
-    /// Accumulates another counter set into this one (used to combine
-    /// the shared cache's counters with each worker's L1 counters).
-    pub fn merge(&mut self, other: &DbtStats) {
-        self.translations += other.translations;
-        self.hits += other.hits;
-        self.instrs_translated += other.instrs_translated;
-        self.invalidations += other.invalidations;
-        self.chains_formed += other.chains_formed;
-        self.chain_entries += other.chain_entries;
-        self.chain_exits += other.chain_exits;
-        self.unlinks += other.unlinks;
-        self.l1_hits += other.l1_hits;
-        self.translation_time += other.translation_time;
+s2e_obs::counters! {
+    /// Counters for the translator. `Max` rows are counted by the
+    /// backing (possibly shared) block cache and `Sum` rows by each
+    /// worker's L1 front, which never touches the `Max` rows: merging the
+    /// cache's counters with every worker's L1 counters therefore takes
+    /// the cache's global values once and adds the per-worker ones.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DbtStats in "dbt" {
+        /// Blocks translated (cache misses).
+        translations: u64 = Max,
+        /// Cache hits (L1 hits plus shared/private map hits — every lookup
+        /// that avoided a retranslation). Counted on both sides, so its
+        /// live form is the `dbt.local_hits`/`dbt.shared_hits` pair,
+        /// published by hand.
+        hits: u64 = Sum report_only,
+        /// Instructions decoded in total.
+        instrs_translated: u64 = Max,
+        /// Blocks discarded by invalidation (self-modifying code).
+        invalidations: u64 = Max,
+        /// Superblock links recorded along observed direct edges.
+        chains_formed: u64 = Max,
+        /// Block→block hops taken inside a chained run (no scheduler
+        /// round-trip between the two blocks).
+        chain_entries: u64 = Sum,
+        /// Chained runs that executed more than one block before returning
+        /// to the scheduler.
+        chain_exits: u64 = Sum,
+        /// Chain links severed by invalidation (inbound + outbound edges of
+        /// every discarded block).
+        unlinks: u64 = Max,
+        /// Lookups answered by a per-worker L1 front cache without touching
+        /// the shared cache (subset of `hits`).
+        l1_hits: u64 = Sum,
+        /// Wall-clock time spent decoding and annotating blocks (cache
+        /// misses only; hits cost a map lookup, not measured).
+        translation_time: Duration = Max,
     }
 }
 
@@ -1081,26 +1072,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_counters() {
-        let mut a = DbtStats { hits: 3, l1_hits: 2, ..DbtStats::default() };
-        let b = DbtStats {
-            hits: 5,
-            translations: 1,
-            chains_formed: 4,
-            chain_entries: 7,
-            chain_exits: 2,
-            unlinks: 1,
-            translation_time: Duration::from_nanos(10),
-            ..DbtStats::default()
-        };
+    fn stats_merge_adds_l1_rows_and_keeps_cache_rows() {
+        // The backing cache's counters, merged with one worker's L1 ones.
+        let mut a = DbtStats { hits: 5, translations: 1, unlinks: 1, ..DbtStats::default() };
+        let b = DbtStats { hits: 3, l1_hits: 2, chain_entries: 7, ..DbtStats::default() };
         a.merge(&b);
-        assert_eq!(a.hits, 8);
-        assert_eq!(a.l1_hits, 2);
+        assert_eq!((a.hits, a.l1_hits, a.chain_entries), (8, 2, 7));
+        assert_eq!((a.translations, a.unlinks), (1, 1));
+        // A second read of the same cache does not double its counters.
+        a.merge(&DbtStats { translations: 1, ..DbtStats::default() });
         assert_eq!(a.translations, 1);
-        assert_eq!(a.chains_formed, 4);
-        assert_eq!(a.chain_entries, 7);
-        assert_eq!(a.chain_exits, 2);
-        assert_eq!(a.unlinks, 1);
-        assert_eq!(a.translation_time, Duration::from_nanos(10));
     }
 }

@@ -67,7 +67,8 @@ pub fn run_worker(addr: &str, worker: usize) -> io::Result<()> {
         engine.drain_states();
     }
 
-    let telemetry = (spec.snapshot_every > 0).then(|| MetricsRegistry::new(1));
+    let telemetry =
+        (spec.snapshot_every > 0).then(|| MetricsRegistry::new(1, &s2e_core::counter_schema()));
     if let Some(reg) = &telemetry {
         engine.set_telemetry(Some(reg.handle(0)));
     }

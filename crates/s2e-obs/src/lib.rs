@@ -33,10 +33,15 @@
 //! text) and `/report` (JSON snapshot); and the [`LiveTelemetry`]
 //! lifecycle wrapper tying the three together.
 //!
+//! Both halves read the engine's stats structs, which their home crates
+//! declare through [`counters!`]: one table row per counter generates
+//! the struct field, its `merge`, its report key and its live counter.
+//!
 //! The crate is std-only and dependency-free by policy (DESIGN.md §7);
-//! `s2e-core`, `s2e-solver`, `s2e-tools`, and `bench` build on it.
+//! `s2e-core`, `s2e-solver`, `s2e-dbt`, `s2e-tools`, and `bench` build on it.
 
 pub mod chrome;
+pub mod counters;
 pub mod hist;
 pub mod json;
 pub mod live;
@@ -49,13 +54,15 @@ pub mod sampler;
 pub mod serve;
 
 pub use chrome::{chrome_trace, chrome_trace_report};
+pub use counters::{CounterRow, CounterSchema, Counters};
 pub use hist::{
     bucket_hi, bucket_index, bucket_lo, bucket_mid, AtomicHistogram, HistogramSnapshot,
     HIST_BUCKETS,
 };
 pub use live::{LiveConfig, LiveSummary, LiveTelemetry};
 pub use metrics::{
-    Counter, Gauge, Hist, MergeKind, MetricsRegistry, MetricsSnapshot, TelemetryHandle,
+    runreport_twins, Counter, Gauge, Hist, MergeKind, MetricsRegistry, MetricsSnapshot,
+    TelemetryHandle,
 };
 pub use phase::{Phase, PhaseTotals};
 pub use recorder::{ObsConfig, Recorder};

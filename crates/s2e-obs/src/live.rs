@@ -7,7 +7,7 @@
 //!     jsonl_path: Some("results/run_live.jsonl".into()),
 //!     serve_addr: Some("127.0.0.1:0".into()),
 //!     ..LiveConfig::default()
-//! })?;
+//! }, &schema)?;
 //! // ... run, handing live.handle(w) to each worker ...
 //! let summary = live.finish()?; // final flush line + joined threads
 //! ```
@@ -17,6 +17,7 @@
 //! what makes its cumulative values exactly equal the end-of-run
 //! `RunReport` twins.
 
+use crate::counters::CounterSchema;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, TelemetryHandle};
 use crate::sampler::{Sampler, SamplerSummary};
 use crate::serve::TelemetryServer;
@@ -70,8 +71,10 @@ pub struct LiveTelemetry {
 }
 
 impl LiveTelemetry {
-    pub fn start(cfg: LiveConfig) -> io::Result<LiveTelemetry> {
-        let registry = MetricsRegistry::new(cfg.workers);
+    /// Starts a registry laid out by `schema`, plus whichever of the
+    /// sampler and endpoint `cfg` asks for.
+    pub fn start(cfg: LiveConfig, schema: &CounterSchema) -> io::Result<LiveTelemetry> {
+        let registry = MetricsRegistry::new(cfg.workers, schema);
         let sampler = match &cfg.jsonl_path {
             Some(path) => {
                 Some(Sampler::start(Arc::clone(&registry), path, cfg.sample_interval)?)
@@ -132,11 +135,15 @@ mod tests {
 
     #[test]
     fn bare_registry_lifecycle() {
-        let live = LiveTelemetry::start(LiveConfig { workers: 2, ..Default::default() }).unwrap();
-        live.handle(1).set_counter(Counter::EngineForks, 4);
+        let live = LiveTelemetry::start(
+            LiveConfig { workers: 2, ..Default::default() },
+            &CounterSchema::default(),
+        )
+        .unwrap();
+        live.handle(1).set_counter(Counter::ParallelSteals, 4);
         assert!(live.serve_addr().is_none());
         let summary = live.finish().unwrap();
         assert_eq!(summary.lines, 0);
-        assert_eq!(summary.final_snapshot.counter(Counter::EngineForks), 4);
+        assert_eq!(summary.final_snapshot.counter(Counter::ParallelSteals), 4);
     }
 }

@@ -13,7 +13,10 @@
 //!   (non-atomic) `EngineStats`/`SolverStats`/`DbtStats` structs on its
 //!   hot path. At batch boundaries the worker *publishes* the current
 //!   cumulative values into its shard with relaxed atomic stores. The
-//!   per-event cost is zero; freshness is one batch.
+//!   per-event cost is zero; freshness is one batch. Those structs are
+//!   [`counters!`](crate::counters!) tables, so their slots, names and
+//!   merge kinds come from the [`CounterSchema`] the registry is built
+//!   with; the few counters with no struct behind them are [`Counter`]s.
 //! * **Histogram samples** — rare, latency-bearing events (solver
 //!   queries, translations, steals, parks, replays) record directly:
 //!   one relaxed `fetch_add` per sample into a log2 bucket.
@@ -34,11 +37,13 @@
 //!
 //! Counter names are `section.key`, matching the end-of-run
 //! [`crate::RunReport`] sections byte-for-byte wherever a counter has
-//! an exact report twin ([`Counter::runreport_twin`]); the
+//! an exact report twin ([`runreport_twins`]); the
 //! `telemetry_overhead` bench asserts that equality at run end.
 
+use crate::counters::{CounterSchema, Counters};
 use crate::hist::{bucket_hi, AtomicHistogram, HistogramSnapshot};
 use crate::json::Json;
+use crate::report::RunReport;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,101 +95,22 @@ macro_rules! define_metric_enum {
 define_metric_enum!(
     Counter,
     COUNTER_COUNT,
-    // Engine — per-worker, published cumulatively at batch cadence.
-    EngineStatesCreated => ("engine.states_created", Sum),
-    EngineStatesTerminated => ("engine.states_terminated", Sum),
-    EngineForks => ("engine.forks", Sum),
-    EngineBlocksExecuted => ("engine.blocks_executed", Sum),
-    EngineInstrsConcrete => ("engine.instrs_concrete", Sum),
-    EngineInstrsSymbolic => ("engine.instrs_symbolic", Sum),
-    EngineConcreteOnlyBlocks => ("engine.concrete_only_blocks", Sum),
-    EngineLeanInstrs => ("engine.lean_instrs", Sum),
-    EngineDeadWritesSkipped => ("engine.dead_writes_skipped", Sum),
-    EngineFeasibilityProbesSkipped => ("engine.feasibility_probes_skipped", Sum),
-    EngineSymbolicPtrAccesses => ("engine.symbolic_ptr_accesses", Sum),
-    EngineConcretizations => ("engine.concretizations", Sum),
-    EngineInterruptsDelivered => ("engine.interrupts_delivered", Sum),
-    EngineSyscalls => ("engine.syscalls", Sum),
-    EngineIndirectRetirements => ("engine.indirect_retirements", Sum),
-    EngineIndirectTargetsResolved => ("engine.indirect_targets_resolved", Sum),
-    EngineIndirectTargetsEscaped => ("engine.indirect_targets_escaped", Sum),
-    EngineIndirectTargetsDiscovered => ("engine.indirect_targets_discovered", Sum),
-    EngineEvictions => ("engine.evictions", Sum),
-    EngineRehydrations => ("engine.rehydrations", Sum),
-    EngineReplayedInstrs => ("engine.replayed_instrs", Sum),
-    EngineJournalBytes => ("engine.journal_bytes", Sum),
-    EngineCpuTimeNs => ("engine.cpu_time_ns", Sum),
-    EngineMaxLiveStates => ("engine.max_live_states", Max),
-    EngineMemoryWatermarkBytes => ("engine.memory_watermark_bytes", Max),
+    // Counters with no stats-struct field of their own; every other
+    // counter comes from a `counters!` table through the schema.
     // Sum of per-worker coverage-set sizes: an upper bound on the true
     // block-set union (blocks seen by several workers count once per
     // worker). No exact RunReport twin.
     EngineSeenBlocks => ("engine.seen_blocks", Sum),
-    // Solver — per-worker, published from SolverStats.
-    SolverQueries => ("solver.queries", Sum),
-    SolverSat => ("solver.sat", Sum),
-    SolverUnsat => ("solver.unsat", Sum),
-    SolverUnknown => ("solver.unknown", Sum),
-    SolverCacheHits => ("solver.cache_hits", Sum),
-    SolverSharedHits => ("solver.shared_hits", Sum),
-    SolverPoolHits => ("solver.pool_hits", Sum),
-    SolverSubsumptionHits => ("solver.subsumption_hits", Sum),
-    SolverCoreSolves => ("solver.core_solves", Sum),
-    SolverSlicedQueries => ("solver.sliced_queries", Sum),
-    SolverComponentsSolved => ("solver.components_solved", Sum),
-    SolverCacheEvictions => ("solver.cache_evictions", Sum),
-    SolverCacheEntries => ("solver.cache_entries", Sum),
-    SolverTotalTimeNs => ("solver.total_time_ns", Sum),
-    SolverMaxQueryTimeNs => ("solver.max_query_time_ns", Max),
-    // Per-kind solver share (the Fig 9 axes, live).
-    SolverFeasibilityQueries => ("solver_by_kind.feasibility.queries", Sum),
-    SolverFeasibilityTimeNs => ("solver_by_kind.feasibility.time_ns", Sum),
-    SolverConcretizeQueries => ("solver_by_kind.concretize.queries", Sum),
-    SolverConcretizeTimeNs => ("solver_by_kind.concretize.time_ns", Sum),
-    SolverOtherQueries => ("solver_by_kind.other.queries", Sum),
-    SolverOtherTimeNs => ("solver_by_kind.other.time_ns", Sum),
-    // DBT — worker-local L1/chain counters (summed) plus mirrors of the
-    // shared translation cache (monotonic, max-merged).
-    DbtL1Hits => ("dbt.l1_hits", Sum),
+    // The two sources of the report's `dbt.hits`: this worker's own
+    // (L1 and private) hits, summed, and its read of the shared
+    // translation cache's hits, max-merged. No exact RunReport twin.
     DbtLocalHits => ("dbt.local_hits", Sum),
-    DbtChainEntries => ("dbt.chain_entries", Sum),
-    DbtChainExits => ("dbt.chain_exits", Sum),
-    DbtTranslations => ("dbt.translations", Max),
     DbtSharedHits => ("dbt.shared_hits", Max),
-    DbtInstrsTranslated => ("dbt.instrs_translated", Max),
-    DbtInvalidations => ("dbt.invalidations", Max),
-    DbtChainsFormed => ("dbt.chains_formed", Max),
-    DbtUnlinks => ("dbt.unlinks", Max),
-    DbtTranslationTimeNs => ("dbt.translation_time_ns", Max),
-    // Cross-worker solver cache mirrors (monotonic fields only; the
-    // non-monotonic entry count is Gauge::SharedCacheEntries).
-    SharedCacheHits => ("shared_cache.hits", Max),
-    SharedCacheSubsumptionHits => ("shared_cache.subsumption_hits", Max),
-    SharedCacheInserts => ("shared_cache.inserts", Max),
-    SharedCacheEvictions => ("shared_cache.evictions", Max),
     // Scheduler — per-worker loop counters.
     ParallelSteals => ("parallel.steals", Sum),
     ParallelReclaims => ("parallel.reclaims", Sum),
     ParallelExports => ("parallel.exports", Sum),
 );
-
-impl Counter {
-    /// The `(section, key)` of this counter's exact end-of-run
-    /// [`crate::RunReport`] twin, or `None` for counters that are
-    /// live-only (components or bounds with no report equivalent).
-    /// Twin-ness is what the `telemetry_overhead` bench asserts: after
-    /// the final flush, the merged registry value equals the report
-    /// counter exactly.
-    pub fn runreport_twin(self) -> Option<(&'static str, &'static str)> {
-        match self {
-            // `dbt.hits` in the report is shared hits + per-worker L1
-            // locals; the live registry keeps the components instead.
-            Counter::DbtLocalHits | Counter::DbtSharedHits => None,
-            Counter::EngineSeenBlocks => None,
-            _ => self.name().split_once('.'),
-        }
-    }
-}
 
 define_metric_enum!(
     Gauge,
@@ -239,9 +165,9 @@ fn atomic_slice(n: usize) -> Box<[AtomicU64]> {
 }
 
 impl MetricsShard {
-    fn new() -> Self {
+    fn new(counters: usize) -> Self {
         MetricsShard {
-            counters: atomic_slice(COUNTER_COUNT),
+            counters: atomic_slice(counters),
             gauges: atomic_slice(GAUGE_COUNT),
             gauge_stamps: atomic_slice(GAUGE_COUNT),
             hists: (0..HIST_COUNT).map(|_| AtomicHistogram::new()).collect(),
@@ -252,17 +178,30 @@ impl MetricsShard {
 /// The per-run registry: one shard per worker, merged on read.
 #[derive(Debug)]
 pub struct MetricsRegistry {
+    /// Counter slots: the [`Counter`]s, then the schema's table rows.
+    names: Arc<[String]>,
+    merges: Box<[MergeKind]>,
+    schema: CounterSchema,
     shards: Box<[MetricsShard]>,
     stamp: AtomicU64,
 }
 
 impl MetricsRegistry {
     /// Creates a registry with `shards` independent writer slots
-    /// (typically one per worker; a sequential engine uses shard 0).
-    pub fn new(shards: usize) -> Arc<MetricsRegistry> {
+    /// (typically one per worker; a sequential engine uses shard 0)
+    /// holding the [`Counter`]s plus one slot per live row of every
+    /// table in `schema`.
+    pub fn new(shards: usize, schema: &CounterSchema) -> Arc<MetricsRegistry> {
+        let fixed = Counter::ALL.iter().map(|c| (c.name().to_string(), c.merge()));
+        let (names, merges): (Vec<String>, Vec<MergeKind>) =
+            fixed.chain(schema.slots().iter().cloned()).unzip();
+        let names: Arc<[String]> = names.into();
         let shards = shards.max(1);
         Arc::new(MetricsRegistry {
-            shards: (0..shards).map(|_| MetricsShard::new()).collect(),
+            shards: (0..shards).map(|_| MetricsShard::new(names.len())).collect(),
+            names,
+            merges: merges.into(),
+            schema: schema.clone(),
             stamp: AtomicU64::new(0),
         })
     }
@@ -279,19 +218,18 @@ impl MetricsRegistry {
 
     /// Merges all shards into a plain snapshot (see [`MergeKind`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters = vec![0u64; COUNTER_COUNT];
-        for &c in Counter::ALL {
-            let i = c.index();
-            let mut acc = 0u64;
-            for shard in self.shards.iter() {
-                let v = shard.counters[i].load(Ordering::Relaxed);
-                acc = match c.merge() {
-                    MergeKind::Sum => acc + v,
-                    MergeKind::Max | MergeKind::Latest => acc.max(v),
-                };
-            }
-            counters[i] = acc;
-        }
+        let counters = self
+            .merges
+            .iter()
+            .enumerate()
+            .map(|(i, merge)| {
+                let values = self.shards.iter().map(|s| s.counters[i].load(Ordering::Relaxed));
+                match merge {
+                    MergeKind::Sum => values.sum(),
+                    MergeKind::Max | MergeKind::Latest => values.max().unwrap_or(0),
+                }
+            })
+            .collect();
         let mut gauges = vec![0u64; GAUGE_COUNT];
         for &g in Gauge::ALL {
             let i = g.index();
@@ -332,7 +270,7 @@ impl MetricsRegistry {
                 hists[i].merge(&shard.hists[i].snapshot());
             }
         }
-        MetricsSnapshot { counters, gauges, hists }
+        MetricsSnapshot { names: Arc::clone(&self.names), counters, gauges, hists }
     }
 }
 
@@ -360,12 +298,25 @@ impl TelemetryHandle {
         self.registry.shards[self.shard].counters[c.index()].store(value, Ordering::Relaxed);
     }
 
-    /// Event-increments a counter (relaxed add). Prefer `set_counter`
-    /// publishes from batch-cadence stats; this is for counters with no
-    /// plain-struct source.
-    #[inline]
-    pub fn add_counter(&self, c: Counter, delta: u64) {
-        self.registry.shards[self.shard].counters[c.index()].fetch_add(delta, Ordering::Relaxed);
+    /// Publishes every live row of a `counters!` table as cumulative
+    /// relaxed stores. Panics if the registry's schema lacks the table.
+    pub fn publish<T: Counters>(&self, stats: &T) {
+        self.publish_prefixed(stats, "");
+    }
+
+    /// [`TelemetryHandle::publish`] for the table instance the schema
+    /// added under `prefix` ([`CounterSchema::table_prefixed`]).
+    pub fn publish_prefixed<T: Counters>(&self, stats: &T, prefix: &str) {
+        let registry = &self.registry;
+        let first = registry.schema.block(T::SECTION, prefix).unwrap_or_else(|| {
+            panic!("counter table {}/{prefix} is not in this registry's schema", T::SECTION)
+        });
+        let mut slots = registry.shards[self.shard].counters[COUNTER_COUNT + first..].iter();
+        stats.visit(&mut |row, value| {
+            if row.live {
+                slots.next().expect("slot per live row").store(value, Ordering::Relaxed);
+            }
+        });
     }
 
     /// Publishes a gauge. `Latest` gauges take a registry-wide stamp so
@@ -396,6 +347,8 @@ impl TelemetryHandle {
 /// Plain merged view of the registry at one instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
+    /// Counter names, slot for slot with `counters`.
+    pub names: Arc<[String]>,
     pub counters: Vec<u64>,
     pub gauges: Vec<u64>,
     pub hists: Vec<HistogramSnapshot>,
@@ -404,6 +357,17 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c.index()]
+    }
+
+    /// A counter by its `section.key` name; `None` if the registry's
+    /// schema has no such counter.
+    pub fn counter_named(&self, name: &str) -> Option<u64> {
+        self.names.iter().position(|n| n == name).map(|i| self.counters[i])
+    }
+
+    /// Every counter as `(name, value)`, in slot order.
+    pub fn named_counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.names.iter().map(String::as_str).zip(self.counters.iter().copied())
     }
 
     pub fn gauge(&self, g: Gauge) -> u64 {
@@ -419,8 +383,8 @@ impl MetricsSnapshot {
     /// pairs. Served by `/report` and embedded in the JSONL stream.
     pub fn to_json(&self) -> Json {
         let mut counters = Json::obj();
-        for &c in Counter::ALL {
-            counters = counters.set(c.name(), self.counter(c));
+        for (name, value) in self.named_counters() {
+            counters = counters.set(name, value);
         }
         let mut gauges = Json::obj();
         for &g in Gauge::ALL {
@@ -467,9 +431,9 @@ impl MetricsSnapshot {
             out
         }
         let mut out = String::new();
-        for &c in Counter::ALL {
-            let name = sanitize(c.name());
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", self.counter(c)));
+        for (name, value) in self.named_counters() {
+            let name = sanitize(name);
+            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
         }
         for &g in Gauge::ALL {
             let name = sanitize(g.name());
@@ -500,9 +464,28 @@ impl MetricsSnapshot {
     }
 }
 
+/// The end-of-run exact-equality contract: every counter of `snap` whose
+/// `section.key` name `report` also carries, as `(name, live value,
+/// report value)`. Derived by name, never listed.
+pub fn runreport_twins<'a>(
+    snap: &'a MetricsSnapshot,
+    report: &RunReport,
+) -> Vec<(&'a str, u64, f64)> {
+    snap.named_counters()
+        .filter_map(|(name, live)| {
+            let (section, key) = name.split_once('.')?;
+            Some((name, live, report.section(section)?.get(key)?))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn registry(shards: usize) -> Arc<MetricsRegistry> {
+        MetricsRegistry::new(shards, &CounterSchema::default())
+    }
 
     #[test]
     fn names_are_unique_and_indexed() {
@@ -522,35 +505,22 @@ mod tests {
     }
 
     #[test]
-    fn twins_point_into_known_sections() {
-        let sections =
-            ["engine", "solver", "solver_by_kind", "shared_cache", "dbt", "parallel"];
-        let mut twins = 0;
-        for &c in Counter::ALL {
-            if let Some((section, key)) = c.runreport_twin() {
-                assert!(sections.contains(&section), "unknown section {section}");
-                assert!(!key.is_empty());
-                twins += 1;
-            }
-        }
-        assert!(twins > 50, "most counters should have report twins, got {twins}");
-    }
-
-    #[test]
     fn sum_and_max_merge() {
-        let reg = MetricsRegistry::new(3);
-        reg.handle(0).set_counter(Counter::EngineForks, 5);
-        reg.handle(2).set_counter(Counter::EngineForks, 7);
-        reg.handle(0).set_counter(Counter::DbtTranslations, 100);
-        reg.handle(1).set_counter(Counter::DbtTranslations, 140);
+        let reg = registry(3);
+        reg.handle(0).set_counter(Counter::ParallelSteals, 5);
+        reg.handle(2).set_counter(Counter::ParallelSteals, 7);
+        reg.handle(0).set_counter(Counter::DbtSharedHits, 100);
+        reg.handle(1).set_counter(Counter::DbtSharedHits, 140);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter(Counter::EngineForks), 12);
-        assert_eq!(snap.counter(Counter::DbtTranslations), 140);
+        assert_eq!(snap.counter(Counter::ParallelSteals), 12);
+        assert_eq!(snap.counter(Counter::DbtSharedHits), 140);
+        assert_eq!(snap.counter_named("dbt.shared_hits"), Some(140));
+        assert_eq!(snap.counter_named("no.such_counter"), None);
     }
 
     #[test]
     fn latest_gauge_wins_by_stamp() {
-        let reg = MetricsRegistry::new(2);
+        let reg = registry(2);
         reg.handle(0).set_gauge(Gauge::GaugeQueueDepth, 9);
         reg.handle(1).set_gauge(Gauge::GaugeQueueDepth, 2);
         assert_eq!(reg.snapshot().gauge(Gauge::GaugeQueueDepth), 2);
@@ -564,7 +534,7 @@ mod tests {
 
     #[test]
     fn histograms_merge_across_shards() {
-        let reg = MetricsRegistry::new(2);
+        let reg = registry(2);
         reg.handle(0).observe(Hist::HistSteal, 1000);
         reg.handle(1).observe(Hist::HistSteal, 1000);
         reg.handle(1).observe_duration(Hist::HistSteal, Duration::from_nanos(3));
@@ -574,21 +544,21 @@ mod tests {
 
     #[test]
     fn json_and_prometheus_render() {
-        let reg = MetricsRegistry::new(1);
+        let reg = registry(1);
         let h = reg.handle(0);
-        h.set_counter(Counter::SolverQueries, 42);
+        h.set_counter(Counter::ParallelExports, 42);
         h.set_gauge(Gauge::GaugeLiveStates, 3);
         h.observe(Hist::HistSolveFeasibility, 512);
         let snap = reg.snapshot();
         let json = snap.to_json();
         assert_eq!(
-            json.get("counters").and_then(|c| c.get("solver.queries")).and_then(|v| v.as_u64()),
+            json.get("counters").and_then(|c| c.get("parallel.exports")).and_then(|v| v.as_u64()),
             Some(42)
         );
         let hist = json.get("hists").and_then(|h| h.get("latency.solve_feasibility")).unwrap();
         assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(1));
         let text = snap.prometheus();
-        assert!(text.contains("s2e_solver_queries 42"));
+        assert!(text.contains("s2e_parallel_exports 42"));
         assert!(text.contains("# TYPE s2e_live_states gauge"));
         assert!(text.contains("s2e_latency_solve_feasibility_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("s2e_latency_solve_feasibility_count 1"));

@@ -1,5 +1,6 @@
 //! The unified end-of-run report.
 
+use crate::counters::{prefixed, Counters};
 use crate::json::{parse, Json, ParseError};
 use crate::phase::{Phase, PhaseTotals};
 use crate::ring::{Event, EventKind, WorkerTimeline};
@@ -29,9 +30,23 @@ impl MetricSection {
         }
     }
 
+    /// The section of a `counters!` table: every row, in field order.
+    pub fn of<T: Counters>(stats: &T) -> MetricSection {
+        MetricSection::new(T::SECTION).table(stats, "")
+    }
+
     /// Appends a counter (builder-style).
     pub fn counter(mut self, name: &str, value: impl Into<f64>) -> MetricSection {
         self.counters.push((name.to_string(), value.into()));
+        self
+    }
+
+    /// Appends every row of a `counters!` table, keyed `prefix.key`
+    /// (plain `key` when `prefix` is empty).
+    pub fn table<T: Counters>(mut self, stats: &T, prefix: &str) -> MetricSection {
+        stats.visit(&mut |row, value| {
+            self.counters.push((prefixed(prefix, row.key), value as f64));
+        });
         self
     }
 

@@ -48,14 +48,11 @@ pub fn snapshot_line(
     let dt_ns = wall_ns.saturating_sub(prev_wall);
 
     let mut delta_counters = Json::obj();
-    let d = |c: Counter| -> u64 {
-        let before = prev_counters.map_or(0, |p| p.counter(c));
-        snap.counter(c).saturating_sub(before)
-    };
-    for &c in Counter::ALL {
-        let dv = d(c);
+    // Both snapshots come from one registry, so their slots line up.
+    for (i, (name, value)) in snap.named_counters().enumerate() {
+        let dv = value.saturating_sub(prev_counters.map_or(0, |p| p.counters[i]));
         if dv > 0 {
-            delta_counters = delta_counters.set(c.name(), dv);
+            delta_counters = delta_counters.set(name, dv);
         }
     }
     let mut delta_hists = Json::obj();
@@ -72,23 +69,21 @@ pub fn snapshot_line(
         .set("hists", delta_hists);
 
     let dt_s = (dt_ns as f64 / 1e9).max(1e-12);
-    let rate = |c: Counter| -> f64 {
-        let before = prev_counters.map_or(0, |p| p.counter(c));
-        snap.counter(c).saturating_sub(before) as f64 / dt_s
+    let d = |name: &str| -> u64 {
+        let before = prev_counters.and_then(|p| p.counter_named(name)).unwrap_or(0);
+        snap.counter_named(name).unwrap_or(0).saturating_sub(before)
     };
-    let solver_dt = snap.counter(Counter::SolverTotalTimeNs).saturating_sub(
-        prev_counters.map_or(0, |p| p.counter(Counter::SolverTotalTimeNs)),
-    );
+    let rate = |name: &str| -> f64 { d(name) as f64 / dt_s };
     let derived = Json::obj()
-        .set("paths_per_s", rate(Counter::EngineStatesTerminated))
-        .set("forks_per_s", rate(Counter::EngineForks))
-        .set("blocks_per_s", rate(Counter::EngineBlocksExecuted))
-        .set("queries_per_s", rate(Counter::SolverQueries))
+        .set("paths_per_s", rate("engine.states_terminated"))
+        .set("forks_per_s", rate("engine.forks"))
+        .set("blocks_per_s", rate("engine.blocks_executed"))
+        .set("queries_per_s", rate("solver.queries"))
         // Fraction of total worker-time the window spent inside the
         // solver (Fig 9's y-axis, live).
         .set(
             "solver_share",
-            solver_dt as f64 / (dt_ns.max(1) as f64 * workers.max(1) as f64),
+            d("solver.total_time_ns") as f64 / (dt_ns.max(1) as f64 * workers.max(1) as f64),
         )
         // Upper bound: sum of per-worker coverage sets, not their union.
         .set("covered_blocks_ub", snap.counter(Counter::EngineSeenBlocks))
@@ -215,30 +210,31 @@ impl Drop for Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::CounterSchema;
     use crate::json;
 
     #[test]
     fn line_shape_and_deltas() {
-        let reg = MetricsRegistry::new(2);
-        reg.handle(0).set_counter(Counter::EngineForks, 10);
+        let reg = MetricsRegistry::new(2, &CounterSchema::default());
+        reg.handle(0).set_counter(Counter::ParallelSteals, 10);
         let first = reg.snapshot();
         let line = snapshot_line(0, 1_000, 2, &first, None, false);
         assert_eq!(line.get("schema").and_then(|v| v.as_str()), Some(LIVE_SCHEMA));
         assert_eq!(
             line.get("delta")
                 .and_then(|d| d.get("counters"))
-                .and_then(|c| c.get("engine.forks"))
+                .and_then(|c| c.get("parallel.steals"))
                 .and_then(|v| v.as_u64()),
             Some(10)
         );
-        reg.handle(1).set_counter(Counter::EngineForks, 5);
+        reg.handle(1).set_counter(Counter::ParallelSteals, 5);
         reg.handle(0).observe(Hist::HistPark, 800);
         let second = reg.snapshot();
         let line2 = snapshot_line(1, 2_000, 2, &second, Some((&first, 1_000)), true);
         assert_eq!(line2.get("final").and_then(|v| v.as_bool()), Some(true));
         let delta = line2.get("delta").unwrap();
         assert_eq!(
-            delta.get("counters").and_then(|c| c.get("engine.forks")).and_then(|v| v.as_u64()),
+            delta.get("counters").and_then(|c| c.get("parallel.steals")).and_then(|v| v.as_u64()),
             Some(5)
         );
         assert_eq!(
@@ -254,22 +250,22 @@ mod tests {
     fn sampler_writes_final_line_with_flushed_values() {
         let dir = std::env::temp_dir().join("s2e-obs-sampler-test");
         let path = dir.join("run_live.jsonl");
-        let reg = MetricsRegistry::new(1);
+        let reg = MetricsRegistry::new(1, &CounterSchema::default());
         let sampler =
             Sampler::start(Arc::clone(&reg), &path, Duration::from_millis(5)).unwrap();
-        reg.handle(0).set_counter(Counter::SolverQueries, 33);
+        reg.handle(0).set_counter(Counter::ParallelExports, 33);
         std::thread::sleep(Duration::from_millis(20));
-        reg.handle(0).set_counter(Counter::SolverQueries, 77);
+        reg.handle(0).set_counter(Counter::ParallelExports, 77);
         let summary = sampler.finish().unwrap();
         assert!(summary.lines >= 1);
-        assert_eq!(summary.final_snapshot.counter(Counter::SolverQueries), 77);
+        assert_eq!(summary.final_snapshot.counter(Counter::ParallelExports), 77);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len() as u64, summary.lines);
         let last = json::parse(lines.last().unwrap()).unwrap();
         assert_eq!(last.get("final").and_then(|v| v.as_bool()), Some(true));
         assert_eq!(
-            last.get("counters").and_then(|c| c.get("solver.queries")).and_then(|v| v.as_u64()),
+            last.get("counters").and_then(|c| c.get("parallel.exports")).and_then(|v| v.as_u64()),
             Some(77)
         );
         std::fs::remove_dir_all(&dir).ok();

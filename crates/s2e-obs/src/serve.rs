@@ -191,20 +191,21 @@ pub fn http_get(addr: &str, path: &str) -> io::Result<String> {
 mod tests {
     use super::*;
     use crate::json;
+    use crate::counters::CounterSchema;
     use crate::metrics::Counter;
 
     #[test]
     fn serves_metrics_and_report() {
-        let reg = MetricsRegistry::new(1);
-        reg.handle(0).set_counter(Counter::EngineForks, 21);
+        let reg = MetricsRegistry::new(1, &CounterSchema::default());
+        reg.handle(0).set_counter(Counter::ParallelSteals, 21);
         let server = TelemetryServer::start(Arc::clone(&reg), "127.0.0.1:0").unwrap();
         let addr = server.addr().to_string();
         let metrics = http_get(&addr, "/metrics").unwrap();
-        assert!(metrics.contains("s2e_engine_forks 21"));
+        assert!(metrics.contains("s2e_parallel_steals 21"));
         let report = http_get(&addr, "/report").unwrap();
         let parsed = json::parse(report.trim()).unwrap();
         assert_eq!(
-            parsed.get("counters").and_then(|c| c.get("engine.forks")).and_then(|v| v.as_u64()),
+            parsed.get("counters").and_then(|c| c.get("parallel.steals")).and_then(|v| v.as_u64()),
             Some(21)
         );
         assert!(http_get(&addr, "/nope").is_err());
@@ -213,8 +214,8 @@ mod tests {
 
     #[test]
     fn stalled_scraper_does_not_serialize_endpoint() {
-        let reg = MetricsRegistry::new(1);
-        reg.handle(0).set_counter(Counter::EngineForks, 7);
+        let reg = MetricsRegistry::new(1, &CounterSchema::default());
+        reg.handle(0).set_counter(Counter::ParallelSteals, 7);
         let server = TelemetryServer::start(Arc::clone(&reg), "127.0.0.1:0").unwrap();
         let addr = server.addr().to_string();
         // A client that connects and then goes silent pins its
@@ -224,7 +225,7 @@ mod tests {
         // ...while a well-behaved scrape still completes promptly.
         let started = std::time::Instant::now();
         let metrics = http_get(&addr, "/metrics").unwrap();
-        assert!(metrics.contains("s2e_engine_forks 7"));
+        assert!(metrics.contains("s2e_parallel_steals 7"));
         assert!(
             started.elapsed() < CONN_TIMEOUT,
             "scrape serialized behind a stalled client: {:?}",

@@ -131,66 +131,76 @@ impl Default for SolverConfig {
     }
 }
 
-/// Per-[`QueryKind`] slice of the solver statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KindStats {
-    /// Queries of this kind.
-    pub queries: u64,
-    /// ... answered satisfiable.
-    pub sat: u64,
-    /// ... answered unsatisfiable.
-    pub unsat: u64,
-    /// ... that exhausted the conflict budget.
-    pub unknown: u64,
-    /// Wall-clock time spent on queries of this kind.
-    pub time: Duration,
+s2e_obs::counters! {
+    /// Per-[`QueryKind`] slice of the solver statistics, reported once per
+    /// kind with `<kind>.`-prefixed keys.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct KindStats in "solver_by_kind" {
+        /// Queries of this kind.
+        queries: u64 = Sum,
+        /// ... answered satisfiable.
+        sat: u64 = Sum,
+        /// ... answered unsatisfiable.
+        unsat: u64 = Sum,
+        /// ... that exhausted the conflict budget.
+        unknown: u64 = Sum,
+        /// Wall-clock time spent on queries of this kind.
+        time: Duration = Sum,
+    }
 }
 
-/// Aggregate statistics over all queries issued to a [`Solver`].
-#[derive(Clone, Debug, Default)]
-pub struct SolverStats {
-    /// Queries answered (including cache hits).
-    pub queries: u64,
-    /// Queries answered satisfiable.
-    pub sat: u64,
-    /// Queries answered unsatisfiable.
-    pub unsat: u64,
-    /// Queries that exhausted the conflict budget.
-    pub unknown: u64,
-    /// Queries answered from the exact-match cache.
-    pub cache_hits: u64,
-    /// Queries answered from the cross-worker shared cache (always a
-    /// local miss first, so every shared hit is work another solver
-    /// instance did).
-    pub shared_hits: u64,
-    /// Queries answered by re-checking a pooled model.
-    pub pool_hits: u64,
-    /// Component queries answered by cache subsumption (a superset's SAT
-    /// model or a subset's UNSAT verdict), local or shared, instead of an
-    /// exact entry.
-    pub subsumption_hits: u64,
-    /// Component sets that reached the SAT core — every cache layer
-    /// missed. This is the number the optimization stack exists to drive
-    /// down.
-    pub core_solves: u64,
-    /// Queries where slicing changed the solved set: a `check` that
-    /// split into more than one independent component, or a
-    /// partition-aware query ([`Solver::check_relevant`] and friends)
-    /// whose slice dropped at least one untouched component.
-    pub sliced_queries: u64,
-    /// Components solved separately on behalf of sliced queries.
-    pub components_solved: u64,
-    /// Entries the local exact-match cache has evicted under capacity
-    /// pressure (snapshot of [`QueryStore`]'s counter).
-    pub cache_evictions: u64,
-    /// Entries currently held by the local exact-match cache (snapshot).
-    pub cache_entries: u64,
-    /// Wall-clock time spent inside the solver (including cache lookups).
-    pub total_time: Duration,
-    /// Longest single query.
-    pub max_query_time: Duration,
-    /// Per-[`QueryKind`] breakdown, indexed by [`QueryKind::index`].
-    pub by_kind: [KindStats; 3],
+s2e_obs::counters! {
+    /// Aggregate statistics over all queries issued to a [`Solver`].
+    /// Merging parallel workers' solvers sums counters and times
+    /// (per-solver CPU time, like `EngineStats::cpu_time`) except
+    /// `max_query_time`, which takes the maximum; the two cache
+    /// snapshots sum across the disjoint per-worker caches.
+    #[derive(Clone, Debug, Default)]
+    pub struct SolverStats in "solver" {
+        /// Queries answered (including cache hits).
+        queries: u64 = Sum,
+        /// Queries answered satisfiable.
+        sat: u64 = Sum,
+        /// Queries answered unsatisfiable.
+        unsat: u64 = Sum,
+        /// Queries that exhausted the conflict budget.
+        unknown: u64 = Sum,
+        /// Queries answered from the exact-match cache.
+        cache_hits: u64 = Sum,
+        /// Queries answered from the cross-worker shared cache (always a
+        /// local miss first, so every shared hit is work another solver
+        /// instance did).
+        shared_hits: u64 = Sum,
+        /// Queries answered by re-checking a pooled model.
+        pool_hits: u64 = Sum,
+        /// Component queries answered by cache subsumption (a superset's SAT
+        /// model or a subset's UNSAT verdict), local or shared, instead of an
+        /// exact entry.
+        subsumption_hits: u64 = Sum,
+        /// Component sets that reached the SAT core — every cache layer
+        /// missed. This is the number the optimization stack exists to drive
+        /// down.
+        core_solves: u64 = Sum,
+        /// Queries where slicing changed the solved set: a `check` that
+        /// split into more than one independent component, or a
+        /// partition-aware query ([`Solver::check_relevant`] and friends)
+        /// whose slice dropped at least one untouched component.
+        sliced_queries: u64 = Sum,
+        /// Components solved separately on behalf of sliced queries.
+        components_solved: u64 = Sum,
+        /// Entries the local exact-match cache has evicted under capacity
+        /// pressure (snapshot of [`QueryStore`]'s counter).
+        cache_evictions: u64 = Sum,
+        /// Entries currently held by the local exact-match cache (snapshot).
+        cache_entries: u64 = Sum,
+        /// Wall-clock time spent inside the solver (including cache lookups).
+        total_time: Duration = Sum,
+        /// Longest single query.
+        max_query_time: Duration = Max,
+        /// Per-[`QueryKind`] breakdown, indexed by [`QueryKind::index`];
+        /// each slice reports as its own `KindStats` table.
+        by_kind: [KindStats; 3] = Each,
+    }
 }
 
 impl SolverStats {
@@ -206,37 +216,6 @@ impl SolverStats {
     /// The per-kind slice for `kind`.
     pub fn kind(&self, kind: QueryKind) -> &KindStats {
         &self.by_kind[kind.index()]
-    }
-
-    /// Folds another solver's statistics into this one (parallel
-    /// workers' per-engine solvers merged into one report). Counters and
-    /// times are summed — per-solver CPU time, like
-    /// `EngineStats::cpu_time` — except `max_query_time`, which takes
-    /// the maximum, and the two cache snapshots, which sum entries and
-    /// evictions across the disjoint per-worker caches.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.queries += other.queries;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.unknown += other.unknown;
-        self.cache_hits += other.cache_hits;
-        self.shared_hits += other.shared_hits;
-        self.pool_hits += other.pool_hits;
-        self.subsumption_hits += other.subsumption_hits;
-        self.core_solves += other.core_solves;
-        self.sliced_queries += other.sliced_queries;
-        self.components_solved += other.components_solved;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_entries += other.cache_entries;
-        self.total_time += other.total_time;
-        self.max_query_time = self.max_query_time.max(other.max_query_time);
-        for (mine, theirs) in self.by_kind.iter_mut().zip(other.by_kind.iter()) {
-            mine.queries += theirs.queries;
-            mine.sat += theirs.sat;
-            mine.unsat += theirs.unsat;
-            mine.unknown += theirs.unknown;
-            mine.time += theirs.time;
-        }
     }
 }
 
@@ -504,20 +483,25 @@ impl QueryStore {
     }
 }
 
-/// Aggregate counters for a [`SharedQueryCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SharedCacheStats {
-    /// Lookups answered by an exact shared entry.
-    pub hits: u64,
-    /// Lookups answered by a subsuming shared entry (superset SAT model
-    /// or subset UNSAT core).
-    pub subsumption_hits: u64,
-    /// Entries published into the shared cache.
-    pub inserts: u64,
-    /// Entries currently held.
-    pub entries: usize,
-    /// Entries evicted under capacity pressure.
-    pub evictions: u64,
+s2e_obs::counters! {
+    /// Aggregate counters for a [`SharedQueryCache`]. There is one cache
+    /// per run, so every row is a global value: merging two reads of it,
+    /// or every worker's live mirror of it, keeps the larger.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SharedCacheStats in "shared_cache" {
+        /// Lookups answered by an exact shared entry.
+        hits: u64 = Max,
+        /// Lookups answered by a subsuming shared entry (superset SAT model
+        /// or subset UNSAT core).
+        subsumption_hits: u64 = Max,
+        /// Entries published into the shared cache.
+        inserts: u64 = Max,
+        /// Entries currently held. Not monotonic, so its live form is the
+        /// stamped `shared_cache.entries` gauge, published by hand.
+        entries: usize = Max report_only,
+        /// Entries evicted under capacity pressure.
+        evictions: u64 = Max,
+    }
 }
 
 /// A query cache shared between solver instances — the warm cache the

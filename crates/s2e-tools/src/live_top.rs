@@ -189,14 +189,15 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2e_obs::{snapshot_line, Counter, Hist, MetricsRegistry};
+    use s2e_core::{counter_schema, EngineStats};
+    use s2e_obs::{snapshot_line, Hist, MetricsRegistry};
+    use s2e_solver::SolverStats;
 
     fn canned_line(is_final: bool) -> Json {
-        let reg = MetricsRegistry::new(2);
+        let reg = MetricsRegistry::new(2, &counter_schema());
         let t = reg.handle(0);
-        t.set_counter(Counter::EngineBlocksExecuted, 5_000);
-        t.set_counter(Counter::EngineForks, 40);
-        t.set_counter(Counter::SolverQueries, 17);
+        t.publish(&EngineStats { blocks_executed: 5_000, forks: 40, ..EngineStats::default() });
+        t.publish(&SolverStats { queries: 17, ..SolverStats::default() });
         t.observe(Hist::HistSolveFeasibility, 12_000);
         t.observe(Hist::HistSolveFeasibility, 90_000);
         let snap = reg.snapshot();
@@ -236,8 +237,8 @@ mod tests {
 
     #[test]
     fn report_snapshot_renders_without_envelope() {
-        let reg = MetricsRegistry::new(1);
-        reg.handle(0).set_counter(Counter::SolverQueries, 9);
+        let reg = MetricsRegistry::new(1, &counter_schema());
+        reg.handle(0).publish(&SolverStats { queries: 9, ..SolverStats::default() });
         reg.handle(0).observe(Hist::HistPark, 1_500);
         let text = render_report(&reg.snapshot().to_json().render()).unwrap();
         assert!(text.contains("/report snapshot"), "{text}");

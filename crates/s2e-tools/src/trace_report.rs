@@ -87,8 +87,8 @@ pub fn render(report: &RunReport, top: usize) -> String {
     }
 
     // Full counter dump: every metric section, every key, no
-    // abridging — the completeness contract (tests/counter_drift.rs)
-    // holds new engine/solver/dbt counters to appearing here.
+    // abridging — so a new `counters!` row appears here as soon as it
+    // reaches the report.
     if !report.sections.is_empty() {
         writeln!(out).unwrap();
         writeln!(out, "counters").unwrap();

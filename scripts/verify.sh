@@ -29,10 +29,10 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "dependency gate: ok (path-only)"
 
-# Gate 2: tier-1 build and tests, offline — the registry must never be
-# needed.
+# Gate 2: tier-1 build and tests of every workspace crate, offline —
+# the registry must never be needed.
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 # Gate 3: solver-stack smoke — on a fixed seeded corpus the sliced +
 # subsuming configuration must agree with the exact-match baseline and
@@ -119,4 +119,11 @@ test -s results/run_live.jsonl
 # otherwise).
 cargo run -q --release --offline -p bench --bin dist_explore -- --smoke
 test -s results/dist_explore.json
+
+# Gate 12: the repo benchmark's yardstick — one exploration per
+# workload with every pinned count, reason histogram and digest fold in
+# benchmark/expected.json asserted (exits nonzero on any difference),
+# then the benchmark package's own tests.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
+cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "verify: ok"
